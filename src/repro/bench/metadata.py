@@ -19,6 +19,11 @@ import numpy as np
 #: Bumped when the metadata stamp's keys change.
 METADATA_VERSION = 1
 
+#: Changes here do not make the tree dirty: the bench CLIs write their
+#: artifacts and the perf history under it, so one recorded suite must
+#: not make the next one's checkout look modified.
+OUTPUT_PATHSPEC = ":(top,exclude)benchmarks/results"
+
 
 def _git(args: list[str], cwd: str | None = None) -> str | None:
     """One git query; ``None`` when git or the repo is unavailable."""
@@ -37,13 +42,14 @@ def _git(args: list[str], cwd: str | None = None) -> str | None:
 def git_revision(cwd: str | None = None) -> tuple[str, bool]:
     """The current commit SHA and whether the worktree is dirty.
 
+    Benchmark outputs (:data:`OUTPUT_PATHSPEC`) do not count as dirt.
     Returns ``("unknown", False)`` outside a git checkout so artifacts
     can still be written from installed copies.
     """
     sha = _git(["rev-parse", "HEAD"], cwd=cwd)
     if not sha:
         return "unknown", False
-    status = _git(["status", "--porcelain"], cwd=cwd)
+    status = _git(["status", "--porcelain", "--", OUTPUT_PATHSPEC], cwd=cwd)
     return sha, bool(status)
 
 

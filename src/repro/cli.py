@@ -396,9 +396,19 @@ def cmd_bench(args) -> int:
     if args.what == "compare":
         return _bench_compare(args)
     from repro.bench import history as perf_history
+    from repro.bench.metadata import git_revision
     from repro.bench.suites import get_suite, write_result
 
     suite = get_suite(args.what)
+    if args.record:
+        sha, dirty = git_revision()
+        if dirty:
+            # The entry would be keyed by a commit that did not produce
+            # the numbers; refuse before spending the run.
+            print(f"history          : refusing to record: the working "
+                  f"tree has uncommitted changes on top of {sha[:12]}; "
+                  f"commit them (or drop --record) and re-run")
+            return 1
     # The faults suite trains its own synthetic task, so the Table II
     # benchmark flag does not apply to it.
     benchmark = None if args.what == "faults" else args.benchmark
@@ -898,7 +908,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--record", action="store_true",
                        help="append this run to the perf history (skipped "
                             "when --check fails, so a regression cannot "
-                            "poison its own baseline)")
+                            "poison its own baseline; refused up front on "
+                            "a dirty tree, whose numbers no commit owns)")
     bench.add_argument("--baseline-window", type=int, default=5,
                        metavar="N",
                        help="how many recent history entries the rolling "

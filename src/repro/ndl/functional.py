@@ -28,23 +28,38 @@ def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
+def _tap_windows(
+    size: int, kernel: int, stride: int, padding: int
+) -> tuple[int, list[tuple[slice, slice]]]:
+    """Output size along one axis, and per kernel tap the output positions
+    whose tap lands inside the unpadded input plus the input it reads.
+
+    Positions over the zero padding are skipped rather than copied, so
+    the padded image is never materialised.
+    """
+    out = _conv_output_size(size, kernel, stride, padding)
+    windows = []
+    for tap in range(kernel):
+        lo = max(0, -((tap - padding) // stride))  # ceil((pad - tap) / s)
+        hi = min(out, (size - 1 + padding - tap) // stride + 1)
+        start = stride * lo + tap - padding
+        windows.append(
+            (slice(lo, hi), slice(start, start + stride * (hi - lo), stride))
+        )
+    return out, windows
+
+
 def im2col(
     x: np.ndarray, kernel: int, stride: int, padding: int
 ) -> tuple[np.ndarray, tuple[int, int]]:
     """Lower (N, C, H, W) into (N, C*K*K, OH*OW) patch columns."""
     n, c, h, w = x.shape
-    oh = _conv_output_size(h, kernel, stride, padding)
-    ow = _conv_output_size(w, kernel, stride, padding)
-    if padding:
-        x = np.pad(
-            x, ((0, 0), (0, 0), (padding, padding), (padding, padding))
-        )
-    cols = np.empty((n, c, kernel, kernel, oh, ow), dtype=x.dtype)
-    for i in range(kernel):
-        i_end = i + stride * oh
-        for j in range(kernel):
-            j_end = j + stride * ow
-            cols[:, :, i, j] = x[:, :, i:i_end:stride, j:j_end:stride]
+    oh, rows = _tap_windows(h, kernel, stride, padding)
+    ow, columns = _tap_windows(w, kernel, stride, padding)
+    cols = np.zeros((n, c, kernel, kernel, oh, ow), dtype=x.dtype)
+    for i, (out_y, in_y) in enumerate(rows):
+        for j, (out_x, in_x) in enumerate(columns):
+            cols[:, :, i, j, out_y, out_x] = x[:, :, in_y, in_x]
     return cols.reshape(n, c * kernel * kernel, oh * ow), (oh, ow)
 
 
@@ -57,20 +72,14 @@ def col2im(
 ) -> np.ndarray:
     """Scatter-add patch columns back into an (N, C, H, W) image."""
     n, c, h, w = x_shape
-    oh = _conv_output_size(h, kernel, stride, padding)
-    ow = _conv_output_size(w, kernel, stride, padding)
+    oh, rows = _tap_windows(h, kernel, stride, padding)
+    ow, columns = _tap_windows(w, kernel, stride, padding)
     cols = cols.reshape(n, c, kernel, kernel, oh, ow)
-    padded = np.zeros(
-        (n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype
-    )
-    for i in range(kernel):
-        i_end = i + stride * oh
-        for j in range(kernel):
-            j_end = j + stride * ow
-            padded[:, :, i:i_end:stride, j:j_end:stride] += cols[:, :, i, j]
-    if padding:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+    image = np.zeros(x_shape, dtype=cols.dtype)
+    for i, (out_y, in_y) in enumerate(rows):
+        for j, (out_x, in_x) in enumerate(columns):
+            image[:, :, in_y, in_x] += cols[:, :, i, j, out_y, out_x]
+    return image
 
 
 # ---------------------------------------------------------------------------
@@ -96,19 +105,22 @@ def conv2d(
         )
     cols, (oh, ow) = im2col(x.data, kernel, stride, padding)
     w2d = weight.data.reshape(f, -1)
-    out = np.einsum("fk,nkp->nfp", w2d, cols).reshape(n, f, oh, ow)
+    # All three products are batched GEMMs over N so that they run in
+    # BLAS; ``np.einsum`` without ``optimize`` never calls BLAS.
+    out = np.matmul(w2d, cols).reshape(n, f, oh, ow)
     if bias is not None:
         out = out + bias.data.reshape(1, f, 1, 1)
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad: np.ndarray) -> None:
         grad3 = grad.reshape(n, f, oh * ow)
-        grad_w = np.einsum("nfp,nkp->fk", grad3, cols).reshape(weight.data.shape)
-        _bw_add(weight, grad_w)
+        grad_w = np.matmul(grad3, cols.transpose(0, 2, 1)).sum(axis=0)
+        _bw_add(weight, grad_w.reshape(weight.data.shape))
         if bias is not None:
             _bw_add(bias, grad.sum(axis=(0, 2, 3)))
-        grad_cols = np.einsum("fk,nfp->nkp", w2d, grad3)
-        _bw_add(x, col2im(grad_cols, x.data.shape, kernel, stride, padding))
+        if x.requires_grad:
+            grad_cols = np.matmul(w2d.T, grad3)
+            _bw_add(x, col2im(grad_cols, x.data.shape, kernel, stride, padding))
 
     return Tensor._make(out, parents, backward)
 

@@ -1,9 +1,12 @@
 """Perf history, the rolling baseline and the regression gate."""
 
 import json
+import shutil
+import subprocess
 
 import pytest
 
+from repro.bench import metadata
 from repro.bench.history import (
     append_history,
     check_against_history,
@@ -209,11 +212,67 @@ class TestCompare:
             find_entry(history, "")
 
 
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+class TestDirtyTree:
+    """What counts as a dirty tree for --record."""
+
+    @pytest.fixture
+    def repo(self, tmp_path):
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                 "-c", "commit.gpgsign=false", *args],
+                cwd=tmp_path, check=True, capture_output=True,
+            )
+
+        (tmp_path / "src").mkdir()
+        (tmp_path / "benchmarks" / "results").mkdir(parents=True)
+        (tmp_path / "src" / "kernel.py").write_text("x = 1\n")
+        (tmp_path / "benchmarks" / "results" / "PERF_HISTORY.jsonl"
+         ).write_text("")
+        git("init", "-q")
+        git("add", "-A")
+        git("commit", "-q", "-m", "init")
+        return tmp_path
+
+    def test_clean_checkout(self, repo):
+        assert metadata.git_revision(cwd=str(repo))[1] is False
+
+    def test_bench_outputs_are_not_dirt(self, repo):
+        results = repo / "benchmarks" / "results"
+        (results / "PERF_HISTORY.jsonl").write_text("{}\n")
+        (results / "BENCH_overlap.json").write_text("{}")
+        assert metadata.git_revision(cwd=str(repo))[1] is False
+
+    def test_source_change_is_dirt(self, repo):
+        (repo / "src" / "kernel.py").write_text("x = 2\n")
+        assert metadata.git_revision(cwd=str(repo / "benchmarks"))[1] is True
+
+
 class TestBenchCheckCli:
     """The gate end-to-end through `repro bench --check`."""
 
     BENCH = ["bench", "throughput", "--benchmark", "ncf-movielens",
              "--compressors", "none,topk", "--workers", "4"]
+
+    @pytest.fixture(autouse=True)
+    def clean_tree(self, monkeypatch):
+        """Pin a clean checkout: --record refuses a dirty one, and these
+        tests must not depend on the state of the tree they run in."""
+        monkeypatch.setattr(metadata, "git_revision",
+                            lambda cwd=None: ("cafe0123beef", False))
+
+    def test_dirty_tree_is_not_recorded(self, tmp_path, monkeypatch,
+                                        capsys):
+        monkeypatch.setattr(metadata, "git_revision",
+                            lambda cwd=None: ("cafe0123beef", True))
+        history = tmp_path / "PERF_HISTORY.jsonl"
+        args = self.BENCH + ["--out", "-", "--history", str(history)]
+        assert main(args + ["--record"]) == 1
+        text = capsys.readouterr().out
+        assert "refusing to record" in text
+        assert "uncommitted changes on top of cafe0123beef" in text
+        assert not history.exists()
 
     def test_record_then_check_passes(self, tmp_path, capsys):
         history = str(tmp_path / "PERF_HISTORY.jsonl")

@@ -35,6 +35,49 @@ class TestIm2Col:
             F.im2col(x, kernel=5, stride=1, padding=0)
 
 
+# (kernel, stride, padding) of every conv the benchmark models build, plus
+# one unpadded 3x3.
+CONV_CONFIGS = [(3, 1, 1), (3, 2, 1), (1, 2, 0), (1, 1, 0), (3, 1, 0)]
+
+
+def _conv_inputs(seed, kernel):
+    """N=2, C_in=3 != C_out=4 and an odd 5x5 image, so a batch/channel
+    mix-up or an off-by-one at stride 2 cannot pass."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, 3, 5, 5)).astype(np.float32)
+    w = rng.standard_normal((4, 3, kernel, kernel)).astype(np.float32)
+    return x, w
+
+
+def _direct_conv2d(x, w, b, stride, padding):
+    """Textbook loop: every output pixel is a dot product with one window."""
+    n, _, h, width = x.shape
+    f, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh = (h + 2 * padding - k) // stride + 1
+    ow = (width + 2 * padding - k) // stride + 1
+    out = np.zeros((n, f, oh, ow), dtype=np.float64)
+    for s in range(n):
+        for o in range(f):
+            for i in range(oh):
+                for j in range(ow):
+                    window = xp[s, :, i * stride:i * stride + k,
+                                j * stride:j * stride + k]
+                    out[s, o, i, j] = np.sum(window * w[o]) + b[o]
+    return out
+
+
+def _projection(x, w, stride, padding):
+    """A fixed random upstream gradient (``sum()`` would send all ones)."""
+    shape = F.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).shape
+    return np.random.default_rng(7).standard_normal(shape).astype(np.float32)
+
+
+def _projected_loss(x, w, proj, stride, padding):
+    out = F.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+    return float(np.sum(out.data.astype(np.float64) * proj))
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         x = Tensor(np.random.default_rng(0).standard_normal(
@@ -43,48 +86,55 @@ class TestConv2d:
         out = F.conv2d(x, w)
         np.testing.assert_allclose(out.data, x.data)
 
-    def test_matches_direct_convolution(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((1, 2, 5, 5)).astype(np.float32)
-        w = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
-        out = F.conv2d(Tensor(x), Tensor(w), stride=1, padding=0).data
-        # Direct loop reference.
-        expected = np.zeros((1, 3, 3, 3), dtype=np.float32)
-        for f in range(3):
-            for i in range(3):
-                for j in range(3):
-                    expected[0, f, i, j] = np.sum(
-                        x[0, :, i : i + 3, j : j + 3] * w[f]
-                    )
-        np.testing.assert_allclose(out, expected, rtol=1e-4)
-
-    def test_weight_gradient_numerical(self, numgrad):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((2, 2, 4, 4)).astype(np.float32)
-        w = rng.standard_normal((2, 2, 3, 3)).astype(np.float32)
-        wt = Tensor(w.copy(), requires_grad=True)
-        F.conv2d(Tensor(x), wt, stride=1, padding=1).sum().backward()
-        num = numgrad(
-            lambda: float(
-                F.conv2d(Tensor(x), Tensor(w), stride=1, padding=1).data.sum()
-            ),
-            w,
+    @pytest.mark.parametrize("kernel,stride,padding", CONV_CONFIGS)
+    def test_matches_direct_convolution(self, kernel, stride, padding):
+        x, w = _conv_inputs(1, kernel)
+        b = np.random.default_rng(5).standard_normal(4).astype(np.float32)
+        out = F.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding).data
+        np.testing.assert_allclose(
+            out, _direct_conv2d(x, w, b, stride, padding), rtol=1e-4, atol=1e-5
         )
+
+    @pytest.mark.parametrize("kernel,stride,padding", CONV_CONFIGS)
+    def test_weight_gradient_numerical(self, numgrad, kernel, stride, padding):
+        x, w = _conv_inputs(2, kernel)
+        proj = _projection(x, w, stride, padding)
+        wt = Tensor(w.copy(), requires_grad=True)
+        (F.conv2d(Tensor(x), wt, stride=stride, padding=padding) * proj
+         ).sum().backward()
+        num = numgrad(lambda: _projected_loss(x, w, proj, stride, padding), w)
         np.testing.assert_allclose(wt.grad, num, atol=2e-2, rtol=2e-2)
 
-    def test_input_gradient_numerical(self, numgrad):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((1, 2, 4, 4)).astype(np.float32)
-        w = rng.standard_normal((2, 2, 3, 3)).astype(np.float32)
+    @pytest.mark.parametrize("kernel,stride,padding", CONV_CONFIGS)
+    def test_input_gradient_numerical(self, numgrad, kernel, stride, padding):
+        x, w = _conv_inputs(3, kernel)
+        proj = _projection(x, w, stride, padding)
         xt = Tensor(x.copy(), requires_grad=True)
-        F.conv2d(xt, Tensor(w), stride=2, padding=1).sum().backward()
-        num = numgrad(
-            lambda: float(
-                F.conv2d(Tensor(x), Tensor(w), stride=2, padding=1).data.sum()
-            ),
-            x,
-        )
+        (F.conv2d(xt, Tensor(w), stride=stride, padding=padding) * proj
+         ).sum().backward()
+        num = numgrad(lambda: _projected_loss(x, w, proj, stride, padding), x)
         np.testing.assert_allclose(xt.grad, num, atol=2e-2, rtol=2e-2)
+
+    @pytest.mark.parametrize("kernel,stride,padding", CONV_CONFIGS)
+    def test_float32_in_float32_out(self, kernel, stride, padding):
+        x, w = _conv_inputs(4, kernel)
+        xt = Tensor(x, requires_grad=True)
+        wt = Tensor(w, requires_grad=True)
+        out = F.conv2d(xt, wt, stride=stride, padding=padding)
+        out.sum().backward()
+        assert out.data.dtype == np.float32
+        assert xt.grad.dtype == np.float32 and wt.grad.dtype == np.float32
+
+    def test_input_without_grad_skips_col2im(self, monkeypatch):
+        # A stem conv reads the data batch: its gradient would be dropped.
+        def fail(*args, **kwargs):
+            raise AssertionError("col2im ran for an input without grad")
+
+        monkeypatch.setattr(F, "col2im", fail)
+        x, w = _conv_inputs(6, 3)
+        wt = Tensor(w, requires_grad=True)
+        F.conv2d(Tensor(x), wt, stride=2, padding=1).sum().backward()
+        assert wt.grad is not None
 
     def test_bias_gradient(self):
         rng = np.random.default_rng(4)
