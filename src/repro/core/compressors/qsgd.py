@@ -65,7 +65,9 @@ class QSGDCompressor(Compressor):
         flat, shape = flatten_with_shape(tensor)
         # float32 throughout: float() would widen the norm to a 64-bit
         # Python scalar on its way into the payload scale part (GR002).
-        norm = np.float32(np.linalg.norm(flat))
+        # sqrt(x·x) is exactly np.linalg.norm's own 1-D path, without its
+        # Python-level dispatch (this runs once per tensor per step).
+        norm = np.sqrt(flat.dot(flat))
         codes = quantize_stochastic_levels(
             np.abs(flat), norm, self.levels, rng=self._rng
         )
@@ -80,11 +82,15 @@ class QSGDCompressor(Compressor):
         """Apply Q^-1: rebuild a dense tensor of the original shape."""
         shape, size = compressed.ctx
         norm_arr, packed_signs, packed_codes = compressed.payload
-        norm = norm_arr[0]  # float32 scale part, kept at wire precision
-        signs = unpack_signs(packed_signs, size)
-        codes = unpack_bits(packed_codes, bits=self.code_bits, count=size)
-        values = norm * signs * codes.astype(np.float32) / self.levels
-        return values.astype(np.float32).reshape(shape)
+        values = unpack_bits(
+            packed_codes, bits=self.code_bits, count=size
+        ).astype(np.float32)
+        # In place on one float32 array.  Multiplying by a ±1 sign is
+        # exact, so this equals (norm · sign) · code / levels bit for bit.
+        values *= norm_arr[0]  # float32 scale part, kept at wire precision
+        values *= unpack_signs(packed_signs, size)
+        values /= self.levels
+        return values.reshape(shape)
 
     def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
         """Whole-bucket QSGD: one stochastic-rounding pass, one bit-pack.

@@ -29,14 +29,15 @@ def quantize_uniform(
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    scaled = np.clip(values, 0.0, 1.0) * levels
-    lower = np.floor(scaled)
-    frac = scaled - lower
+    # The same clamp as np.clip (NaN passes through), minus its
+    # Python-level wrapper, which costs more than the arithmetic on the
+    # small per-tensor arrays compressors pass in.
+    scaled = np.minimum(np.maximum(values, 0.0), 1.0) * levels
     if rng is None:
-        codes = np.rint(scaled)
-    else:
-        codes = lower + (rng.random(size=scaled.shape) < frac)
-    return codes.astype(np.int64)
+        return np.rint(scaled).astype(np.int64)
+    lower = np.floor(scaled)
+    up = rng.random(size=scaled.shape) < scaled - lower
+    return (lower + up).astype(np.int64)
 
 
 def dequantize_uniform(codes: np.ndarray, levels: int) -> np.ndarray:
